@@ -1,8 +1,7 @@
-"""Hot-path microbenchmarks: the simulator inner loop and its caches.
+"""Hot-path microbenchmarks: the simulator inner loop.
 
 Unlike the figure benchmarks (which regenerate the paper's tables),
 these measure the *implementation*: events/sec through ``Simulator.run``
-with the result-invisible caches (``repro.perf``) enabled vs disabled,
 and the parallel executor's merge identity.  They back the
 ``repro perf`` baseline gate with a pytest-benchmark view of the same
 workloads.
@@ -12,13 +11,10 @@ from __future__ import annotations
 
 import os
 
-import pytest
-
-from repro import perf
 from repro.bench.parallel import run_cells
 from repro.bench.runner import ExperimentRunner
 from repro.config import SystemConfig
-from repro.protocols.system import ConsensusSystem
+from repro.runtime.sim import ConsensusSystem
 
 _SCALE = os.environ.get("REPRO_BENCH_SCALE", "small")
 
@@ -34,16 +30,11 @@ def _run_cell() -> int:
     return system.sim.events_processed
 
 
-@pytest.mark.parametrize("caches", ["cached", "uncached"])
-def test_hotpath_events(benchmark, caches):
-    """Events through the simulator with and without the perf caches."""
-    perf.set_caches_enabled(caches == "cached")
-    try:
-        events = benchmark.pedantic(_run_cell, rounds=3, iterations=1)
-    finally:
-        perf.set_caches_enabled(True)
+def test_hotpath_events(benchmark):
+    """Events through the simulator for one mid-size cell."""
+    events = benchmark.pedantic(_run_cell, rounds=3, iterations=1)
     assert events > 0
-    print(f"\n{caches}: {events} events per run")
+    print(f"\n{events} events per run")
 
 
 def test_parallel_merge_identity(benchmark):

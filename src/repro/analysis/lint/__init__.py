@@ -10,7 +10,7 @@ package enforces them mechanically:
   ``TEEaccum`` interface, never a component's private state;
 * ``DET00x`` - determinism rules: no ambient randomness or wall-clock
   time in simulation code; randomness flows through
-  :class:`repro.sim.rng.RngStream`, time through the event loop;
+  :class:`repro.core.rng.RngStream`, time through the event loop;
 * ``MSG00x`` - exhaustiveness rules: declared message types are
   dispatched by some protocol, sent messages have a receiver, and
   ``Phase`` matches cover every phase;

@@ -123,8 +123,6 @@ def build_parser() -> argparse.ArgumentParser:
     prof_p.add_argument("--seed", type=int, default=1)
     prof_p.add_argument("--top", type=int, default=20,
                         help="functions to print, by cumulative time")
-    prof_p.add_argument("--no-caches", action="store_true",
-                        help="profile with the result-invisible caches disabled")
 
     perf_p = sub.add_parser(
         "perf", help="write or check the perf baseline (BENCH_baseline.json)"
@@ -241,7 +239,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve_p.add_argument("--fault-spec", default=None, metavar="PATH",
                          help="FaultPlan rules_spec JSON applied to outbound "
                          "frames; re-read when its mtime changes")
-    serve_p.add_argument("--verify-jobs", type=int, default=None, metavar="N",
+    serve_p.add_argument("--verify-jobs", type=int, default=1, metavar="N",
                          help="worker processes for inbound signature "
                          "verification (0 = one per core, 1 = inline)")
 
@@ -265,7 +263,7 @@ def build_parser() -> argparse.ArgumentParser:
     net_p.add_argument("--adversary", default=None, metavar="NAME",
                        help="seat the named registered attack at its default "
                        "pids; honest replicas must stay safe and live")
-    net_p.add_argument("--verify-jobs", type=int, default=None, metavar="N",
+    net_p.add_argument("--verify-jobs", type=int, default=1, metavar="N",
                        help="worker processes for inbound signature "
                        "verification (0 = one per core, 1 = inline)")
 
@@ -503,8 +501,6 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     import pstats
     import time
 
-    from repro import perf
-
     config = SystemConfig(
         protocol=args.protocol,
         f=args.f,
@@ -512,22 +508,17 @@ def _cmd_profile(args: argparse.Namespace) -> int:
         regions=_REGIONS[args.regions],
         seed=args.seed,
     )
-    perf.set_caches_enabled(not args.no_caches)
-    try:
-        system = ConsensusSystem(config)
-        system.sim.attach_wall_clock(time.perf_counter)
-        profiler = cProfile.Profile()
-        profiler.enable()
-        result = system.run_until_views(args.views)
-        profiler.disable()
-    finally:
-        perf.set_caches_enabled(True)
+    system = ConsensusSystem(config)
+    system.sim.attach_wall_clock(time.perf_counter)
+    profiler = cProfile.Profile()
+    profiler.enable()
+    result = system.run_until_views(args.views)
+    profiler.disable()
     stream = io.StringIO()
     stats = pstats.Stats(profiler, stream=stream)
     stats.sort_stats("cumulative").print_stats(args.top)
     print(stream.getvalue().rstrip())
     sim = system.sim
-    print(f"caches             {'off' if args.no_caches else 'on'}")
     print(f"committed blocks   {result.committed_blocks}")
     print(f"events fired       {sim.events_processed}")
     print(f"wall seconds       {sim.wall_seconds:.3f}")
@@ -546,9 +537,9 @@ def _cmd_perf(args: argparse.Namespace) -> int:
         perfbench.write_baseline(baseline_path, bench)
         grid = bench["grid"]
         print(
-            f"wrote {baseline_path}: hotpath cache_speedup "
-            f"{bench['hotpath']['cache_speedup']:.2f}x, grid total_speedup "
-            f"{grid['total_speedup']:.2f}x (jobs={grid['jobs']})"
+            f"wrote {baseline_path}: hotpath "
+            f"{bench['hotpath']['cached']['events_per_sec']:,.0f} events/s, grid "
+            f"parallel_speedup {grid['parallel_speedup']:.2f}x (jobs={grid['jobs']})"
         )
         return 0
     try:

@@ -12,9 +12,9 @@ in Section 7.1:
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
-from repro import perf
 from repro.crypto.hashing import HASH_SIZE, Hash, encode_fields, sha256
 from repro.crypto.scheme import SIGNATURE_WIRE_SIZE, Signature, SignatureScheme
 from repro.core.phases import Phase
@@ -92,26 +92,15 @@ class QuorumCert:
         return 4 + 1 + HASH_SIZE + 4 + SIGNATURE_WIRE_SIZE * len(self.sigs)
 
 
-#: Memoized vote payloads.  Every vote, QC assembly and QC verification
-#: for the same (view, phase, block) re-encodes the same canonical bytes;
-#: the encoding is a pure function of the key, so memoization is
-#: invisible to results.
-_VOTE_PAYLOAD_CACHE: dict[tuple[int, str, Hash], bytes] = {}
-perf.register_cache_clearer(_VOTE_PAYLOAD_CACHE.clear)
-
-
+@functools.lru_cache(maxsize=65536)
 def vote_payload(view: int, phase: Phase, block_hash: Hash) -> bytes:
-    """Canonical bytes a replica signs when voting in HotStuff-style phases."""
-    if not perf.caches_enabled():
-        return encode_fields(("vote", view, phase.value, block_hash))
-    key = (view, phase.value, block_hash)
-    payload = _VOTE_PAYLOAD_CACHE.get(key)
-    if payload is None:
-        if len(_VOTE_PAYLOAD_CACHE) >= 65536:  # bound memory, not results
-            _VOTE_PAYLOAD_CACHE.clear()
-        payload = encode_fields(("vote", view, phase.value, block_hash))
-        _VOTE_PAYLOAD_CACHE[key] = payload
-    return payload
+    """Canonical bytes a replica signs when voting in HotStuff-style phases.
+
+    Memoized: every vote, QC assembly and QC verification for the same
+    (view, phase, block) re-encodes the same bytes, and the encoding is a
+    pure function of its arguments.
+    """
+    return encode_fields(("vote", view, phase.value, block_hash))
 
 
 def genesis_qc(genesis_hash: Hash) -> QuorumCert:

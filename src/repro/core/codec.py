@@ -25,7 +25,6 @@ from __future__ import annotations
 import struct
 from typing import Any, Callable, Protocol, runtime_checkable
 
-from repro import perf
 from repro.crypto.hashing import HASH_SIZE, Hash
 from repro.crypto.scheme import Signature
 from repro.errors import ProtocolError
@@ -416,16 +415,13 @@ def _enc_block(enc: Encoder, block: Block) -> None:
     of the block's content, so caching it on the object is invisible on
     the wire.
     """
-    if perf.caches_enabled():
-        cached = block._codec_bytes
-        if not cached:
-            sub = Encoder()
-            _enc_block_fields(sub, block)
-            cached = sub.bytes()
-            object.__setattr__(block, "_codec_bytes", cached)
-        enc.raw(cached)
-        return
-    _enc_block_fields(enc, block)
+    cached = block._codec_bytes
+    if not cached:
+        sub = Encoder()
+        _enc_block_fields(sub, block)
+        cached = sub.bytes()
+        object.__setattr__(block, "_codec_bytes", cached)
+    enc.raw(cached)
 
 
 def _enc_block_fields(enc: Encoder, block: Block) -> None:

@@ -16,10 +16,9 @@ replica returns to the submitting client.
 from __future__ import annotations
 
 import enum
-import itertools
+import functools
 from dataclasses import dataclass
 
-from repro import perf
 from repro.crypto.hashing import Hash, hash_fields
 
 #: Metadata bytes per transaction (2 x 4 B ids + 32 B previous-block hash).
@@ -64,40 +63,12 @@ class Transaction:
         return (self.client_id, self.tx_id, self.payload_bytes, self.fee)
 
 
-#: Memoized payload digests keyed by the (immutable) transaction tuple.
-#: The same tuple is re-digested whenever a block is reconstructed from
-#: the wire or re-hashed; the digest is a pure function of its content.
-_PAYLOAD_DIGEST_CACHE: dict[tuple[Transaction, ...], Hash] = {}
-_DIGEST_CACHE_MAX = 4096
-perf.register_cache_clearer(_PAYLOAD_DIGEST_CACHE.clear)
-
-
+@functools.lru_cache(maxsize=4096)
 def payload_digest(transactions: tuple[Transaction, ...]) -> Hash:
-    """Digest binding a block to its transaction list."""
-    if not perf.caches_enabled():
-        return hash_fields(tuple(tx.digest_fields() for tx in transactions))
-    digest = _PAYLOAD_DIGEST_CACHE.get(transactions)
-    if digest is None:
-        if len(_PAYLOAD_DIGEST_CACHE) >= _DIGEST_CACHE_MAX:
-            # Evict the oldest half (dicts preserve insertion order)
-            # rather than clearing wholesale: recent tuples are the ones
-            # a live chain keeps re-hashing, and dropping them too costs
-            # a re-digest per block on the hot path.
-            for stale in list(
-                itertools.islice(_PAYLOAD_DIGEST_CACHE, _DIGEST_CACHE_MAX // 2)
-            ):
-                del _PAYLOAD_DIGEST_CACHE[stale]
-        digest = hash_fields(tuple(tx.digest_fields() for tx in transactions))
-        _PAYLOAD_DIGEST_CACHE[transactions] = digest
-    return digest
+    """Digest binding a block to its transaction list.
 
-
-def __getattr__(name: str) -> object:
-    # Back-compat: the pool class moved to repro.mempool; resolve the old
-    # name lazily so importing this core module never drags the pool
-    # package (and its config surface) into the codec's import graph.
-    if name == "Mempool":
-        from repro.mempool.pool import PriorityMempool
-
-        return PriorityMempool
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    Memoized by the (immutable) transaction tuple: the same tuple is
+    re-digested whenever a block is reconstructed from the wire or
+    re-hashed, and the digest is a pure function of its content.
+    """
+    return hash_fields(tuple(tx.digest_fields() for tx in transactions))

@@ -52,9 +52,8 @@ class _Entry:
 class PriorityMempool:
     """Bounded priority mempool with admission control.
 
-    The first four parameters match the seed ``Mempool`` signature, so
-    every historical call site constructs an equivalent (FIFO, unbounded
-    in practice) pool; the keyword-only parameters opt into the
+    The four positional parameters alone build a FIFO pool that is
+    unbounded in practice; the keyword-only parameters opt into the
     production behaviours.
     """
 

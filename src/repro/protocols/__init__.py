@@ -7,11 +7,11 @@
 * :mod:`~repro.protocols.chained_hotstuff` - chained HotStuff.
 * :mod:`~repro.protocols.chained_damysus` - Chained-Damysus.
 
-Use :class:`~repro.protocols.system.ConsensusSystem` to build and run a
-whole deployment from a :class:`~repro.config.SystemConfig`.
+The machines are sans-I/O: :class:`~repro.runtime.sim.ConsensusSystem`
+builds and runs a whole simulated deployment from a
+:class:`~repro.config.SystemConfig`, and :mod:`repro.runtime.asyncio_net`
+hosts the same machines on real sockets.
 """
-
-from typing import Any
 
 from repro.protocols.chained_damysus import ChainedDamysusReplica
 from repro.protocols.chained_hotstuff import ChainedHotStuffReplica
@@ -23,17 +23,6 @@ from repro.protocols.hotstuff import HotStuffReplica
 from repro.protocols.pacemaker import Pacemaker, round_robin_leader
 from repro.protocols.registry import PROTOCOL_ORDER, SPECS, ProtocolSpec, get_spec
 from repro.protocols.replica import BaseReplica, QuorumCollector
-
-
-def __getattr__(name: str) -> Any:
-    # Lazy (PEP 562): the system builder lives with the simulator runtime
-    # now, and importing a protocol module must not drag the simulator in.
-    if name in ("ConsensusSystem", "RunResult"):
-        from repro.runtime import sim as _sim
-
-        return getattr(_sim, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
 
 __all__ = [
     "BaseReplica",
@@ -47,8 +36,6 @@ __all__ = [
     "ChainedHotStuffReplica",
     "ChainedDamysusReplica",
     "Client",
-    "ConsensusSystem",
-    "RunResult",
     "ProtocolSpec",
     "SPECS",
     "PROTOCOL_ORDER",

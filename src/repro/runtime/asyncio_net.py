@@ -47,7 +47,6 @@ import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from repro import perf
 from repro.config import NetConfig, SystemConfig
 from repro.core.codec import CodecError, decode_message, encode_message
 from repro.core.rng import RngStream
@@ -569,7 +568,7 @@ async def run_local_cluster(
     net: NetConfig | None = None,
     checkpoint_interval: int = 0,
     start_delay_s: dict[int, float] | None = None,
-    verify_jobs: int | None = None,
+    verify_jobs: int = 1,
     adversary: str | None = None,
     replica_overrides: dict[int, type] | None = None,
 ) -> ClusterReport:
@@ -589,17 +588,14 @@ async def run_local_cluster(
     state transfer once ``checkpoint_interval`` is on.
 
     ``verify_jobs`` shards inbound signature verification across worker
-    processes (0 = one per core, 1 = inline, ``None`` = the
-    :func:`repro.perf.verify_jobs` default).  All runtimes share one
-    pool - every replica holds the same key material - and results are
-    bit-identical to inline verification.
+    processes (0 = one per core, 1 = inline, the default).  All runtimes
+    share one pool - every replica holds the same key material - and
+    results are bit-identical to inline verification.
     """
     spec = get_spec(protocol)
     f, quorum = _sized_quorum(spec, n)
     clock = WallClock()
-    jobs = resolve_verify_jobs(
-        perf.verify_jobs() if verify_jobs is None else verify_jobs
-    )
+    jobs = resolve_verify_jobs(verify_jobs)
     overrides: dict[int, type] = {}
     if adversary is not None:
         from repro.adversary.registry import get_adversary
@@ -753,7 +749,7 @@ async def serve_replica(
     health_file: str | Path | None = None,
     health_interval_s: float = 0.5,
     fault_spec: str | Path | None = None,
-    verify_jobs: int | None = None,
+    verify_jobs: int = 1,
 ) -> AsyncioRuntime:
     """Run one replica of a fixed-port deployment (``repro serve``).
 
@@ -774,8 +770,8 @@ async def serve_replica(
       file applied to outbound frames, re-read whenever its mtime
       changes (live partition/heal without restarting processes).
     * ``verify_jobs`` - shard inbound signature verification across
-      worker processes (0 = one per core, 1 = inline, ``None`` = the
-      :func:`repro.perf.verify_jobs` default); bit-identical results.
+      worker processes (0 = one per core, 1 = inline, the default);
+      bit-identical results.
 
     ``adversary`` runs *this* replica as the named registered attack
     (the same sans-I/O Machine the simulator seats); which pid plays
@@ -833,9 +829,7 @@ async def serve_replica(
                 pid,
                 machine.checker.step.view,
             )
-    jobs = resolve_verify_jobs(
-        perf.verify_jobs() if verify_jobs is None else verify_jobs
-    )
+    jobs = resolve_verify_jobs(verify_jobs)
     pool = VerifyPool(machine.scheme, jobs=jobs) if jobs > 1 else None
     runtime = AsyncioRuntime(
         machine,

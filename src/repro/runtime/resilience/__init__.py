@@ -1,7 +1,7 @@
 """Real-network fault tolerance for the asyncio runtime.
 
 The simulator has had deterministic fault injection since PR 1
-(:mod:`repro.core.faults` via :mod:`repro.sim.faults`); this package
+(:mod:`repro.core.faults`); this package
 ports the same contract to real sockets and closes the crash-recovery
 loop end-to-end:
 

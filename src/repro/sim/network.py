@@ -7,13 +7,14 @@ local delay but are still counted by the monitor, because Table 1's message
 counts explicitly "include self-messages".
 
 The network also supports *taps* (observers used by tests and by scripted
-adversaries to watch traffic) and a pipeline of *fault filters* used by
-:mod:`repro.sim.faults` to model lossy links, duplication, extra delay
-and partitions.  A filter is called for every send and may return:
+adversaries to watch traffic) and a pipeline of *fault filters*, installed
+with :meth:`Network.add_fault_filter` (a :class:`~repro.core.faults.FaultPlan`
+installs one per plan) to model lossy links, duplication, extra delay and
+partitions.  A filter is called for every send and may return:
 
 * ``None`` or ``False`` - no opinion, the message passes;
-* ``True`` - drop (the legacy ``drop_filter`` contract);
-* a :class:`~repro.sim.faults.FaultAction` - drop, duplicate, or delay.
+* ``True`` - drop;
+* a :class:`~repro.core.faults.FaultAction` - drop, duplicate, or delay.
 
 Faults are never enabled in the paper-reproduction benchmarks; dropped
 and duplicated messages are counted by the monitor so chaos experiments
@@ -24,17 +25,14 @@ from __future__ import annotations
 
 from typing import Any, Callable
 
-from repro.errors import SimulationError
-
-# Sizing/labelling helpers grew up here but belong to the wire codec;
-# re-exported for compatibility with existing imports.
 from repro.core.codec import msg_type_of, wire_size_of
+from repro.errors import SimulationError
 from repro.sim.events import Simulator
 from repro.sim.latency import LatencyModel
 from repro.sim.monitor import Monitor
 from repro.sim.process import Process
 
-__all__ = ["SELF_DELIVERY_MS", "Network", "msg_type_of", "wire_size_of"]
+__all__ = ["SELF_DELIVERY_MS", "Network"]
 
 #: Loop-back delay for a process sending to itself, in ms.
 SELF_DELIVERY_MS = 0.01
@@ -56,33 +54,14 @@ class Network:
         self.processes: dict[int, Process] = {}
         self.taps: list[Callable[[int, int, Any], None]] = []
         # Composable fault pipeline; see the module docstring for the
-        # filter contract.  The legacy single-slot ``drop_filter`` is a
-        # view onto one entry of this list.
+        # filter contract.
         self.fault_filters: list[Callable[[int, int, Any], Any]] = []
-        self._legacy_drop_filter: Callable[[int, int, Any], bool] | None = None
         # TCP-like per-link ordering: with fifo=True a message never
         # overtakes an earlier one on the same (src, dst) link.
         self.fifo = fifo
         self._last_arrival: dict[tuple[int, int], float] = {}
 
     # -- fault pipeline ----------------------------------------------------
-
-    @property
-    def drop_filter(self) -> Callable[[int, int, Any], bool] | None:
-        """Backward-compatible single-slot drop filter.
-
-        Assigning a callable installs it in the fault pipeline (replacing
-        any previously assigned one); assigning ``None`` removes it.
-        """
-        return self._legacy_drop_filter
-
-    @drop_filter.setter
-    def drop_filter(self, fn: Callable[[int, int, Any], bool] | None) -> None:
-        if self._legacy_drop_filter is not None:
-            self.fault_filters.remove(self._legacy_drop_filter)
-        self._legacy_drop_filter = fn
-        if fn is not None:
-            self.fault_filters.append(fn)
 
     def add_fault_filter(self, fn: Callable[[int, int, Any], Any]) -> None:
         """Append a filter to the fault pipeline."""
@@ -92,8 +71,6 @@ class Network:
         """Remove a previously installed filter (idempotent)."""
         if fn in self.fault_filters:
             self.fault_filters.remove(fn)
-        if fn is self._legacy_drop_filter:
-            self._legacy_drop_filter = None
 
     def add_process(self, process: Process) -> None:
         """Register a process; its pid must be unique on this network."""

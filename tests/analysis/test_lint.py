@@ -182,7 +182,7 @@ def test_det001_from_import_and_os_urandom(tmp_path):
 def test_det001_rng_module_exempt(tmp_path):
     make_module(
         tmp_path,
-        "repro.sim.rng",
+        "repro.core.rng",
         """
         import random
         """,

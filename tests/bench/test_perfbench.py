@@ -13,12 +13,9 @@ def tiny_hotpath():
 
 def test_measure_hotpath_shape():
     out = tiny_hotpath()
-    for label in ("cached", "uncached"):
-        assert out[label]["events"] > 0
-        assert out[label]["wall_seconds"] >= 0.0
-    # Identical event counts: the caches are result-invisible.
-    assert out["cached"]["events"] == out["uncached"]["events"]
-    assert out["cache_speedup"] > 0.0
+    assert out["cached"]["events"] > 0
+    assert out["cached"]["wall_seconds"] >= 0.0
+    assert out["cached"]["events_per_sec"] > 0.0
 
 
 def test_measure_grid_identity_and_shape():
@@ -27,7 +24,7 @@ def test_measure_grid_identity_and_shape():
     )
     assert out["cells"] == 6  # every protocol at f=1
     assert out["sequential_cached_s"] > 0.0
-    assert out["total_speedup"] > 0.0
+    assert out["parallel_speedup"] == 1.0  # one worker: nothing to compare
 
 
 def test_baseline_roundtrip(tmp_path):
@@ -38,27 +35,18 @@ def test_baseline_roundtrip(tmp_path):
     assert json.loads(path.read_text())["meta"]["cpus"] == 4
 
 
-def fake_bench(eps=100_000.0, grid_s=2.0, cache_speedup=1.5, total_speedup=1.5, jobs=1):
+def fake_bench(eps=100_000.0, grid_s=2.0, parallel_speedup=1.0, jobs=1):
     return {
         "meta": {"cpus": jobs, "quick": False, "schema": 1},
         "hotpath": {
             "cached": {"events_per_sec": eps, "wall_seconds": 0.1, "events": 10_000},
-            "uncached": {
-                "events_per_sec": eps / cache_speedup,
-                "wall_seconds": 0.1 * cache_speedup,
-                "events": 10_000,
-            },
-            "cache_speedup": cache_speedup,
         },
         "grid": {
             "cells": 18,
             "jobs": jobs,
-            "sequential_uncached_s": grid_s * total_speedup,
             "sequential_cached_s": grid_s,
-            "parallel_cached_s": grid_s,
-            "cache_speedup": total_speedup,
-            "parallel_speedup": 1.0,
-            "total_speedup": total_speedup,
+            "parallel_cached_s": grid_s / parallel_speedup,
+            "parallel_speedup": parallel_speedup,
         },
     }
 
@@ -86,33 +74,24 @@ def test_check_bench_flags_grid_slowdown():
     assert any("grid" in m and "slower" in m for m in messages)
 
 
-def test_check_bench_flags_lost_cache_win():
-    ok, _, messages = perfbench.check_bench(
-        fake_bench(), fake_bench(cache_speedup=1.0, total_speedup=1.2)
-    )
-    assert not ok
-    assert any("cache_speedup" in m for m in messages)
-
-
 def test_check_bench_requires_multicore_speedup():
-    # With 4 effective workers the end-to-end grid win must reach 2x.
+    below = perfbench.MIN_PARALLEL_SPEEDUP - 0.1
     ok, _, messages = perfbench.check_bench(
-        fake_bench(jobs=4), fake_bench(total_speedup=1.5, jobs=4)
+        fake_bench(parallel_speedup=2.0, jobs=4), fake_bench(parallel_speedup=below, jobs=4)
     )
     assert not ok
-    assert any("total_speedup" in m for m in messages)
-    # The same 1.5x passes on a single-core machine (cache win only).
-    ok, _, _ = perfbench.check_bench(fake_bench(), fake_bench(total_speedup=1.5))
-    assert ok
+    assert any("parallel_speedup" in m for m in messages)
+    ok, _, messages = perfbench.check_bench(
+        fake_bench(parallel_speedup=2.0, jobs=4),
+        fake_bench(parallel_speedup=perfbench.MIN_PARALLEL_SPEEDUP, jobs=4),
+    )
+    assert ok, messages
 
 
-def test_required_grid_speedup_scaling():
-    assert perfbench.required_grid_speedup(1) == pytest.approx(
-        perfbench.SINGLE_CORE_REQUIRED_SPEEDUP
-    )
-    assert perfbench.required_grid_speedup(4) == pytest.approx(
-        perfbench.MULTI_CORE_REQUIRED_SPEEDUP
-    )
+def test_check_bench_skips_parallel_gate_on_one_worker():
+    ok, _, messages = perfbench.check_bench(fake_bench(), fake_bench(parallel_speedup=1.0))
+    assert ok, messages
+    assert any("one worker" in m for m in messages)
 
 
 def test_measure_batch_verify_shape():
@@ -220,8 +199,7 @@ def test_committed_baseline_is_valid():
     if not path.exists():
         pytest.skip("BENCH_baseline.json not generated")
     baseline = perfbench.load_baseline(path)
-    assert baseline["hotpath"]["cache_speedup"] >= perfbench.MIN_CACHE_SPEEDUP
-    assert baseline["grid"]["total_speedup"] >= perfbench.required_grid_speedup(
-        baseline["grid"]["jobs"]
-    )
+    assert baseline["hotpath"]["cached"]["events_per_sec"] > 0.0
+    if baseline["grid"]["jobs"] >= 2:
+        assert baseline["grid"]["parallel_speedup"] >= perfbench.MIN_PARALLEL_SPEEDUP
     assert baseline["batch_verify"]["max_speedup"] >= perfbench.MIN_BATCH_SPEEDUP

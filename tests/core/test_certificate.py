@@ -117,3 +117,21 @@ def test_accumulator_wire_size_forms(scheme):
     working = make_acc(sig, finalized=False)
     # The finalized form carries a 4-byte count instead of 3 x 4-byte ids.
     assert working.wire_size() - finalized.wire_size() == 8
+
+
+def test_vote_payload_memo_evicts_oldest_half():
+    """The vote-payload memo is bounded and the newest entries stay resident."""
+    vote_payload.cache_clear()
+    bound = vote_payload.cache_info().maxsize
+    views = range(bound + bound // 2)
+    for view in views:
+        vote_payload(view, Phase.PREPARE, b"\x07" * 32)
+    assert vote_payload.cache_info().currsize == bound
+    hits = vote_payload.cache_info().hits
+    for view in views[bound // 2:]:  # the newest ``bound`` views: all hits
+        vote_payload(view, Phase.PREPARE, b"\x07" * 32)
+    assert vote_payload.cache_info().hits == hits + bound
+    misses = vote_payload.cache_info().misses
+    vote_payload(views[0], Phase.PREPARE, b"\x07" * 32)  # evicted: recomputed
+    assert vote_payload.cache_info().misses == misses + 1
+    vote_payload.cache_clear()

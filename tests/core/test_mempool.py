@@ -1,7 +1,7 @@
 """Tests for transactions and the mempool."""
 
-from repro.core import mempool as mempool_mod
-from repro.core.mempool import TX_METADATA_BYTES, Mempool, Transaction, payload_digest
+from repro.core.mempool import TX_METADATA_BYTES, Transaction, payload_digest
+from repro.mempool import PriorityMempool
 
 
 def test_tx_wire_size_includes_metadata():
@@ -17,27 +17,27 @@ def test_payload_digest_depends_on_contents():
 
 
 def test_payload_digest_cache_evicts_oldest_half():
-    """The digest cache is bounded and sheds its *oldest* entries.
+    """The digest memo is bounded and the newest tuples stay resident.
 
-    Regression: an unbounded (or wholesale-cleared) cache either grows
+    Regression: an unbounded (or wholesale-cleared) memo either grows
     without limit under synthetic open-loop load or drops the hot recent
-    tuples a live chain keeps re-hashing.
+    tuples a live chain keeps re-hashing.  Overflowing the bound by half
+    must shed exactly the oldest half.
     """
-    cache = mempool_mod._PAYLOAD_DIGEST_CACHE
-    cache_max = mempool_mod._DIGEST_CACHE_MAX
-    cache.clear()
-    tuples = [(Transaction(0, i, 0),) for i in range(cache_max + 1)]
+    payload_digest.cache_clear()
+    bound = payload_digest.cache_info().maxsize
+    tuples = [(Transaction(0, i, 0),) for i in range(bound + bound // 2)]
     for txs in tuples:
         payload_digest(txs)
-    # The insertion that overflowed evicted the oldest half first.
-    assert len(cache) == cache_max // 2 + 1
-    assert tuples[0] not in cache
-    assert tuples[cache_max // 2 - 1] not in cache
-    assert tuples[cache_max // 2] in cache
-    assert tuples[-1] in cache
-    # Evicted tuples still digest correctly (and re-enter the cache).
-    assert payload_digest(tuples[0]) == payload_digest((Transaction(0, 0, 0),))
-    cache.clear()
+    assert payload_digest.cache_info().currsize == bound
+    hits = payload_digest.cache_info().hits
+    for txs in tuples[bound // 2:]:  # the newest ``bound`` tuples: all hits
+        payload_digest(txs)
+    assert payload_digest.cache_info().hits == hits + bound
+    misses = payload_digest.cache_info().misses
+    payload_digest(tuples[0])  # the oldest was evicted: recomputed
+    assert payload_digest.cache_info().misses == misses + 1
+    payload_digest.cache_clear()
 
 
 def test_payload_digest_differs_by_fee():
@@ -47,20 +47,20 @@ def test_payload_digest_differs_by_fee():
 
 
 def test_open_loop_blocks_are_full():
-    pool = Mempool(payload_bytes=16, block_size=7, open_loop=True)
+    pool = PriorityMempool(payload_bytes=16, block_size=7, open_loop=True)
     block = pool.take_block(now=0.0)
     assert len(block) == 7
     assert all(tx.payload_bytes == 16 for tx in block)
 
 
 def test_open_loop_synthetic_ids_unique():
-    pool = Mempool(payload_bytes=0, block_size=5, open_loop=True)
+    pool = PriorityMempool(payload_bytes=0, block_size=5, open_loop=True)
     ids = [tx.tx_id for tx in pool.take_block(0.0) + pool.take_block(0.0)]
     assert len(set(ids)) == 10
 
 
 def test_closed_loop_blocks_limited_to_queue():
-    pool = Mempool(payload_bytes=0, block_size=5, open_loop=False)
+    pool = PriorityMempool(payload_bytes=0, block_size=5, open_loop=False)
     pool.add(Transaction(1, 1, 0))
     pool.add(Transaction(1, 2, 0))
     block = pool.take_block(0.0)
@@ -70,7 +70,7 @@ def test_closed_loop_blocks_limited_to_queue():
 
 
 def test_closed_loop_respects_block_size():
-    pool = Mempool(payload_bytes=0, block_size=3, open_loop=False)
+    pool = PriorityMempool(payload_bytes=0, block_size=3, open_loop=False)
     for i in range(10):
         pool.add(Transaction(1, i, 0))
     assert len(pool.take_block(0.0)) == 3
@@ -78,7 +78,7 @@ def test_closed_loop_respects_block_size():
 
 
 def test_open_loop_prefers_queued_client_txs():
-    pool = Mempool(payload_bytes=0, block_size=3, open_loop=True)
+    pool = PriorityMempool(payload_bytes=0, block_size=3, open_loop=True)
     pool.add(Transaction(7, 99, 0))
     block = pool.take_block(0.0)
     assert block[0].client_id == 7

@@ -3,7 +3,6 @@
 import pytest
 
 import repro.crypto.scheme as scheme_mod
-from repro import perf
 from repro.crypto.hmac_scheme import HmacScheme
 
 
@@ -76,14 +75,3 @@ def test_keygen_invalidates_memo(scheme):
     scheme.keygen(2)
     assert scheme.cached_verification(message, sig) is None
 
-
-def test_caches_disabled_skips_memo(scheme):
-    message = b"uncached"
-    sig = scheme.sign(1, message)
-    perf.set_caches_enabled(False)
-    try:
-        assert scheme.verify_cached(message, sig)
-        scheme.prime_verification([(message, sig)], [True])
-        assert scheme.cached_verification(message, sig) is None
-    finally:
-        perf.set_caches_enabled(True)

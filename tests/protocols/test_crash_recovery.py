@@ -4,7 +4,7 @@ import pytest
 
 from repro.errors import TEERefusal
 from repro.protocols.registry import PROTOCOL_ORDER
-from repro.protocols.system import ConsensusSystem
+from repro.runtime.sim import ConsensusSystem
 from tests.conftest import small_config
 
 

@@ -14,7 +14,7 @@ from repro.core.messages import BlockProposal, CommitmentMsg, ProposalMsg, QCMsg
 from repro.core.phases import Phase
 from repro.crypto.scheme import Signature
 from repro.protocols.damysus import KIND_DECIDE, KIND_NEW_VIEW, KIND_PREP_QC
-from repro.protocols.system import ConsensusSystem
+from repro.runtime.sim import ConsensusSystem
 from tests.conftest import small_config
 
 

@@ -5,7 +5,7 @@ import pytest
 from repro.config import SystemConfig
 from repro.errors import ConfigError
 from repro.protocols.registry import PROTOCOL_ORDER, SPECS, get_spec
-from repro.protocols.system import ConsensusSystem
+from repro.runtime.sim import ConsensusSystem
 from tests.conftest import small_config
 
 

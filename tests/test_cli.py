@@ -110,7 +110,7 @@ def test_perf_write_and_check(tmp_path, capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert baseline.exists()
-    assert "cache_speedup" in out
+    assert "parallel_speedup" in out
     # Checking against the just-written baseline on the same machine must
     # not report a pathological regression (generous threshold).
     code = main(["perf", "--check", "--baseline", str(baseline), "--jobs", "1",
